@@ -127,7 +127,6 @@ SWEEP_BACKENDS = [
     ("schnorr", "schnorr", {}),
     ("schnorr-gmpy2", "schnorr-gmpy2", {}),
     ("ed25519", "ed25519", {}),
-    ("secp256k1", "secp256k1", {}),
     ("schnorr-2048", "schnorr", {"p": RFC3526_2048, "g": 4}),
     ("schnorr-gmpy2-2048", "schnorr-gmpy2", {"p": RFC3526_2048, "g": 4}),
 ]
@@ -151,7 +150,7 @@ def _sweep_one(label: str, name: str, params: dict) -> dict:
     keys = signer.keygen(rng)
     signature = signer.sign(keys, b"sweep")
     # Scale rounds to the cost: the 2048-bit pure rows are ~ms per op.
-    slow = "2048" in label or label == "secp256k1"
+    slow = "2048" in label
     rounds = (3 if slow else 20) if SMOKE else (10 if slow else 100)
     return {
         "backend": label,

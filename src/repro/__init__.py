@@ -15,8 +15,7 @@ The package is organised as follows:
 * :mod:`repro.consensus` -- Bracha-style asynchronous binary consensus and the
   batched variant used for Vote Set Consensus.
 * :mod:`repro.core` -- the D-DEMOS protocol itself: Election Authority setup,
-  Vote Collectors, Bulletin Board, Trustees, Voters, Auditors, and an election
-  coordinator that runs the whole thing on the simulator.
+  Vote Collectors, Bulletin Board, Trustees, Voters and Auditors.
 * :mod:`repro.perf` -- the performance-model harness that regenerates the
   paper's evaluation figures.
 * :mod:`repro.analysis` -- analytical results (liveness bounds of Table I,

@@ -1,8 +1,9 @@
 """Event-driven election engine built from pluggable phase drivers.
 
-:class:`ElectionEngine` replaces the coordinator's hardwired phase sequence
-with five :class:`PhaseDriver` steps -- setup, voting, consensus, tally,
-audit -- run in order over a shared :class:`EngineContext`.  Around every
+:class:`ElectionEngine` is the one way to run an election: it runs a
+:class:`~repro.api.spec.ScenarioSpec` through :class:`PhaseDriver` steps --
+setup, voting, consensus, tally, merge (sharded runs only), audit -- in order
+over a shared :class:`EngineContext`.  Around every
 driver the engine emits the typed events of :mod:`repro.api.events`
 (``PhaseStarted`` / ``PhaseCompleted`` plus the driver's own events such as
 ``BallotAccepted`` and ``ConsensusDecided``), so benchmarks, the load
@@ -15,8 +16,9 @@ multi-election service can interleave the simulated phases of several
 elections on one shared scheduler; ``run`` composes the three for the
 single-election path.
 
-The deprecated :class:`repro.core.coordinator.ElectionCoordinator` is a thin
-shim over this engine.
+Everything a run varies -- crypto backend, network conditions, Byzantine
+nodes, transport -- comes from the spec; Byzantine node classes are named
+through :class:`~repro.api.spec.AdversaryProfile`.
 """
 
 from __future__ import annotations
@@ -428,11 +430,10 @@ def default_drivers() -> List[PhaseDriver]:
 class ElectionEngine:
     """Runs a :class:`ScenarioSpec` through pluggable phase drivers.
 
-    The spec is the declarative source of truth; the keyword overrides exist
-    as injection points for pre-built objects (a shared group, a hand-crafted
-    adversary, custom node classes) and take precedence over the spec's
-    corresponding declarative fields.  The deprecated coordinator shim uses
-    them to keep its old constructor working.
+    The spec is the single source of truth for the run.  ``drivers``
+    replaces the phase sequence, ``observers`` subscribe to the event bus,
+    and ``parallel`` shares one audit worker schedule across the elections
+    of a :class:`~repro.api.service.MultiElectionService`.
     """
 
     def __init__(
@@ -441,16 +442,7 @@ class ElectionEngine:
         *,
         drivers: Optional[Sequence[PhaseDriver]] = None,
         observers: Sequence[Observer] = (),
-        group: Optional[Group] = None,
-        conditions: Optional[NetworkConditions] = None,
-        adversary: Optional[Adversary] = None,
-        rng: Optional[RandomSource] = None,
-        vc_node_classes: Optional[Dict[str, Type[VoteCollectorNode]]] = None,
-        bb_node_classes: Optional[Dict[str, Type[BulletinBoardNode]]] = None,
-        trustee_classes: Optional[Dict[str, Type[Trustee]]] = None,
-        include_proofs: Optional[bool] = None,
         parallel: Optional[ParallelConfig] = None,
-        transport: Optional[Transport] = None,
     ):
         self.spec = spec
         self.drivers: List[PhaseDriver] = (
@@ -459,16 +451,7 @@ class ElectionEngine:
         self.bus = EventBus(spec.election_id)
         for observer in observers:
             self.bus.subscribe(observer)
-        self._group = group
-        self._conditions = conditions
-        self._adversary = adversary
-        self._rng = rng
-        self._vc_node_classes = vc_node_classes
-        self._bb_node_classes = bb_node_classes
-        self._trustee_classes = trustee_classes
-        self._include_proofs = include_proofs
         self._parallel = parallel
-        self._transport = transport
         self.ctx: Optional[EngineContext] = None
 
     # -- observation -------------------------------------------------------------
@@ -494,39 +477,21 @@ class ElectionEngine:
         """Create a fresh run context (resetting any previous run's state and events)."""
         self.bus.reset()
         spec = self.spec
-        adversary = self._adversary if self._adversary is not None else (
-            spec.adversary.build_adversary()
-        )
-        vc_classes = dict(spec.adversary.vc_classes())
-        bb_classes = dict(spec.adversary.bb_classes())
-        trustee_classes = dict(spec.adversary.trustee_classes())
-        vc_classes.update(self._vc_node_classes or {})
-        bb_classes.update(self._bb_node_classes or {})
-        trustee_classes.update(self._trustee_classes or {})
-        group = self._group if self._group is not None else spec.crypto.build_group()
-        transport = (
-            self._transport
-            if self._transport is not None
-            else spec.transport.build_transport(group)
-        )
+        group = spec.crypto.build_group()
         self.ctx = EngineContext(
             spec=spec,
             params=spec.to_election_parameters(),
             group=group,
-            rng=self._rng if self._rng is not None else RandomSource(spec.seed),
+            rng=RandomSource(spec.seed),
             bus=self.bus,
-            conditions=self._conditions
-            if self._conditions is not None
-            else spec.network.conditions(seed=spec.seed),
-            adversary=adversary,
-            vc_node_classes=vc_classes,
-            bb_node_classes=bb_classes,
-            trustee_classes=trustee_classes,
-            include_proofs=self._include_proofs
-            if self._include_proofs is not None
-            else spec.crypto.include_proofs,
+            conditions=spec.network.conditions(seed=spec.seed),
+            adversary=spec.adversary.build_adversary(),
+            vc_node_classes=spec.adversary.vc_classes(),
+            bb_node_classes=spec.adversary.bb_classes(),
+            trustee_classes=spec.adversary.trustee_classes(),
+            include_proofs=spec.crypto.include_proofs,
             parallel=self._parallel,
-            transport=transport,
+            transport=spec.transport.build_transport(group),
             choices=choices,
             voter_parts=voter_parts,
             voter_patience=spec.voter_patience if voter_patience is None else voter_patience,

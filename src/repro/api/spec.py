@@ -2,8 +2,7 @@
 
 A :class:`ScenarioSpec` is a frozen, composable description of *one* election
 run: what is being voted on, how the replicated subsystems are sized, and how
-the five orthogonal concerns that used to sprawl across
-``ElectionParameters`` and the coordinator constructor are configured:
+its orthogonal concerns are configured:
 
 * :class:`ConsensusConfig` -- Vote Set Consensus batching;
 * :class:`AuditConfig`     -- end-of-election audit strategy and parallelism;
@@ -37,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
 
 from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.byzantine import (
@@ -748,32 +747,19 @@ class CryptoProfile:
     ``backend`` names a group backend in the crypto registry
     (:func:`repro.crypto.get_group`): ``schnorr`` (pure-python reference, the
     default), ``schnorr-gmpy2`` (GMP-accelerated; falls back to pure python
-    when gmpy2 is absent), ``secp256k1`` (legacy alias ``ec``), or
-    ``ed25519`` (32-byte wire elements).  The name is validated against the
+    when gmpy2 is absent) or ``ed25519`` (the elliptic-curve backend, 32-byte
+    wire elements).  The name is validated against the
     registry at construction time and stored canonically, so it survives
     ``to_dict``/``from_dict`` round-trips.  ``include_proofs=False`` skips
     ballot-correctness proof generation during setup, which speeds up
     scenarios that never audit.
-
-    ``group`` is the deprecated pre-registry spelling of ``backend`` and is
-    still accepted (both as a keyword and in ``from_dict`` payloads).
     """
 
     backend: str = "schnorr"
     include_proofs: bool = True
-    #: deprecated alias for ``backend``; normalized away in ``__post_init__``
-    group: Optional[str] = None
 
     def __post_init__(self) -> None:
-        name = self.backend
-        if self.group is not None:
-            if self.backend != "schnorr" and self.backend != self.group:
-                raise ValueError(
-                    "pass either backend= or the deprecated group=, not both"
-                )
-            name = self.group
-            object.__setattr__(self, "group", None)
-        object.__setattr__(self, "backend", resolve_backend_name(name))
+        object.__setattr__(self, "backend", resolve_backend_name(self.backend))
 
     def build_group(self) -> Group:
         return get_group(self.backend)
@@ -783,9 +769,13 @@ class CryptoProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CryptoProfile":
-        name = data.get("backend", data.get("group", "schnorr"))
+        unknown = set(data) - {"backend", "include_proofs"}
+        if unknown:
+            # A payload naming its backend under another key (an old "group"
+            # spec, a typo) must not silently run on the default backend.
+            raise ValueError(f"unknown crypto profile keys: {sorted(unknown)}")
         return cls(
-            backend=str(name),
+            backend=str(data.get("backend", "schnorr")),
             include_proofs=bool(data.get("include_proofs", True)),
         )
 
@@ -1208,9 +1198,9 @@ class ScenarioSpec:
 def paper_baseline() -> ScenarioSpec:
     """The paper's per-ballot protocol on the default small deployment.
 
-    Matches the historical ``ElectionCoordinator`` defaults exactly: one
-    consensus instance per ballot, batched audit on one worker, LAN
-    conditions, honest everything.
+    Matches the legacy ``ElectionParameters.small_test_election`` defaults
+    exactly (see ``from_election_parameters``): one consensus instance per
+    ballot, batched audit on one worker, LAN conditions, honest everything.
     """
     return ScenarioSpec(
         options=("option-1", "option-2", "option-3"),

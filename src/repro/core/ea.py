@@ -114,7 +114,7 @@ class TrusteeInitData:
 class ElectionSetup:
     """The full output of the EA setup phase.
 
-    The coordinator hands each sub-structure to the component it belongs to;
+    The engine hands each sub-structure to the component it belongs to;
     holding the whole object in one place is a test convenience, not a
     statement that any running component sees all of it.
     """

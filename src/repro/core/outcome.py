@@ -1,9 +1,8 @@
 """The result object an election run produces.
 
-:class:`ElectionOutcome` used to live inside ``repro.core.coordinator``; it
-moved here so both the new event-driven engine (:mod:`repro.api.engine`) and
-the deprecated :class:`~repro.core.coordinator.ElectionCoordinator` shim can
-return the same type without importing each other.
+:class:`ElectionOutcome` is what :meth:`repro.api.engine.ElectionEngine.run`
+returns.  It lives in the protocol layer so analysis code can consume it
+without importing the engine.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class ElectionOutcome:
     tally: Optional[TallyResult]
     audit_report: Optional[AuditReport]
     #: typed progress events emitted by the engine, in emission order (empty
-    #: when the run came through the deprecated coordinator phase methods).
+    #: for an outcome assembled by hand from a partial run).
     events: List = field(default_factory=list)
     #: per-phase durations in *simulated* time (seconds of network time), so
     #: they are deterministic for a fixed scenario seed.

@@ -91,7 +91,7 @@ class VoterClient(SimNode):
     # -- actions -------------------------------------------------------------------
 
     def start_voting(self) -> None:
-        """Submit the vote for the first time (called by the coordinator)."""
+        """Submit the vote for the first time (scheduled by the engine)."""
         self.submitted_at = self.now
         self._submit()
 

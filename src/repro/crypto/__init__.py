@@ -4,8 +4,8 @@ This package provides every cryptographic building block the paper relies on,
 implemented from scratch on top of the Python standard library:
 
 * :mod:`repro.crypto.group` -- prime-order group abstraction (abstract
-  ``Group``/``GroupElement`` interface plus the pure-python Schnorr and
-  secp256k1 backends).
+  ``Group``/``GroupElement`` interface plus the pure-python Schnorr
+  backend).
 * :mod:`repro.crypto.registry` -- named backend registry behind
   :func:`get_group`; also home of the gmpy2-accelerated Schnorr backend
   (:mod:`repro.crypto.gmpy2_backend`) and the Ed25519 group with 32-byte
@@ -34,7 +34,7 @@ from repro.crypto.commitments import OptionCommitment, OptionEncodingScheme
 from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair, LiftedElGamal
 from repro.crypto.ed25519 import Ed25519Group
 from repro.crypto.gmpy2_backend import HAVE_GMPY2, Gmpy2SchnorrGroup
-from repro.crypto.group import EcGroup, Group, GroupElement, SchnorrGroup, default_group
+from repro.crypto.group import Group, GroupElement, SchnorrGroup, default_group
 from repro.crypto.pedersen_vss import PedersenShare, PedersenVSS
 from repro.crypto.registry import (
     BackendInfo,
@@ -57,7 +57,6 @@ from repro.crypto.zkp import BallotCorrectnessProver, BallotCorrectnessVerifier
 __all__ = [
     "Group",
     "GroupElement",
-    "EcGroup",
     "Ed25519Group",
     "Gmpy2SchnorrGroup",
     "HAVE_GMPY2",

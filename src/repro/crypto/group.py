@@ -4,15 +4,10 @@ The paper performs all homomorphic cryptography over an elliptic curve (via
 the MIRACL library).  This module defines the abstract interface every
 backend implements -- :class:`Group` / :class:`GroupElement` plus the
 exponentiation accelerators (:class:`FixedBasePrecomputation`,
-:meth:`Group.multi_power`, :meth:`Group.cached_power`) -- and two of the
-registered backends:
-
-* :class:`SchnorrGroup` -- a multiplicative subgroup of prime order ``q`` of
-  ``Z_p^*`` (registry name ``"schnorr"``).  The reference backend: pure
-  Python, fast enough for full end-to-end election tests.
-* :class:`EcGroup` -- a pure-Python short-Weierstrass curve with the
-  secp256k1 parameters (registry name ``"secp256k1"``, legacy alias
-  ``"ec"``).  Affine arithmetic; kept as a cross-check backend.
+:meth:`Group.multi_power`, :meth:`Group.cached_power`) -- and the reference
+backend, :class:`SchnorrGroup`: a multiplicative subgroup of prime order
+``q`` of ``Z_p^*`` (registry name ``"schnorr"``), pure Python and fast enough
+for full end-to-end election tests.
 
 The other backends live in sibling modules: the gmpy2-accelerated Schnorr
 group (:mod:`repro.crypto.gmpy2_backend`, ``"schnorr-gmpy2"``) and the
@@ -20,9 +15,8 @@ Ed25519 twisted Edwards group with 32-byte compressed elements
 (:mod:`repro.crypto.ed25519`, ``"ed25519"``).
 
 Construct groups through :func:`repro.crypto.get_group` -- the registry in
-:mod:`repro.crypto.registry` -- rather than by instantiating backend classes
-directly; direct construction still works but emits a
-:class:`DeprecationWarning` (mirroring the coordinator shim of PR 3).  All
+:mod:`repro.crypto.registry` -- so backend selection stays registry-driven
+and parameterless calls share one warm instance per backend.  All
 protocol code (ElGamal, commitments, zero-knowledge proofs, Pedersen VSS,
 Schnorr signatures, batch verification) is written once against the abstract
 interface and runs over any registered backend.
@@ -30,41 +24,11 @@ interface and runs over any registered backend.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, hash_to_scalar, sha256
-
-#: Depth counter of registry-factory construction; when zero, instantiating a
-#: backend class directly warns (see :func:`repro.crypto.registry.get_group`).
-_FACTORY_DEPTH = 0
-
-
-class _factory_construction:
-    """Context manager marking group construction as registry-sanctioned."""
-
-    def __enter__(self) -> "_factory_construction":
-        global _FACTORY_DEPTH
-        _FACTORY_DEPTH += 1
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _FACTORY_DEPTH
-        _FACTORY_DEPTH -= 1
-
-
-def _warn_direct_construction(cls: type) -> None:
-    """Emit the deprecation warning for direct backend instantiation."""
-    if _FACTORY_DEPTH == 0:
-        warnings.warn(
-            f"constructing {cls.__name__} directly is deprecated; use "
-            "repro.crypto.get_group(name, **params) so backend selection "
-            "stays registry-driven",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 class GroupElement:
@@ -159,8 +123,9 @@ class Group:
     #: ``None`` for directly constructed instances)
     backend_name: Optional[str] = None
 
-    #: serialized size of one element in bytes, or ``None`` when elements are
-    #: variable-length (secp256k1's infinity encoding)
+    #: serialized size of one element in bytes (Schnorr: modulus bytes plus
+    #: the ``b"S"`` prefix; Ed25519: 32).  Every built-in backend has
+    #: fixed-size elements; ``None`` marks a backend that declares no size.
     element_bytes: Optional[int] = None
 
     def __getstate__(self) -> dict:
@@ -378,7 +343,6 @@ class SchnorrGroup(Group):
     _DEFAULT_G = 4
 
     def __init__(self, p: Optional[int] = None, g: Optional[int] = None):
-        _warn_direct_construction(type(self))
         self.p = p if p is not None else self._DEFAULT_P
         self.order = (self.p - 1) // 2
         self.element_bytes = (self.p.bit_length() + 7) // 8 + 1
@@ -474,136 +438,6 @@ class SchnorrFixedBase(FixedBasePrecomputation):
         return SchnorrElement(accumulator, self.group)
 
 
-# ---------------------------------------------------------------------------
-# Elliptic curve backend (secp256k1 parameters)
-# ---------------------------------------------------------------------------
-
-
-_SECP256K1_P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
-_SECP256K1_A = 0
-_SECP256K1_B = 7
-_SECP256K1_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
-_SECP256K1_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-_SECP256K1_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-
-
-@dataclass(frozen=True)
-class EcPoint(GroupElement):
-    """Affine point on the curve; ``None`` coordinates encode infinity."""
-
-    x: Optional[int]
-    y: Optional[int]
-    group: "EcGroup"
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __mul__(self, other: GroupElement) -> "EcPoint":
-        assert isinstance(other, EcPoint)
-        return self.group._add(self, other)
-
-    def __pow__(self, exponent: int) -> "EcPoint":
-        return self.group._scalar_mul(self, exponent % self.group.order)
-
-    def inverse(self) -> "EcPoint":
-        if self.is_infinity:
-            return self
-        return EcPoint(self.x, (-self.y) % self.group.p, self.group)
-
-    def serialize(self) -> bytes:
-        if self.is_infinity:
-            return b"E\x00"
-        return b"E\x04" + self.x.to_bytes(32, "big") + self.y.to_bytes(32, "big")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EcPoint) and self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash(("ec", self.x, self.y))
-
-
-class EcGroup(Group):
-    """secp256k1 written multiplicatively (point addition is ``*``)."""
-
-    def __init__(self):
-        _warn_direct_construction(type(self))
-        self.p = _SECP256K1_P
-        self.a = _SECP256K1_A
-        self.b = _SECP256K1_B
-        self.order = _SECP256K1_N
-        self._g = EcPoint(_SECP256K1_GX, _SECP256K1_GY, self)
-        self._infinity = EcPoint(None, None, self)
-        self._h = self._derive_second_generator()
-
-    # -- basic point arithmetic ------------------------------------------------
-
-    def _add(self, p1: EcPoint, p2: EcPoint) -> EcPoint:
-        if p1.is_infinity:
-            return p2
-        if p2.is_infinity:
-            return p1
-        if p1.x == p2.x and (p1.y + p2.y) % self.p == 0:
-            return self._infinity
-        if p1.x == p2.x:
-            slope = (3 * p1.x * p1.x + self.a) * pow(2 * p1.y, -1, self.p) % self.p
-        else:
-            slope = (p2.y - p1.y) * pow(p2.x - p1.x, -1, self.p) % self.p
-        x3 = (slope * slope - p1.x - p2.x) % self.p
-        y3 = (slope * (p1.x - x3) - p1.y) % self.p
-        return EcPoint(x3, y3, self)
-
-    def _scalar_mul(self, point: EcPoint, scalar: int) -> EcPoint:
-        result = self._infinity
-        addend = point
-        while scalar:
-            if scalar & 1:
-                result = self._add(result, addend)
-            addend = self._add(addend, addend)
-            scalar >>= 1
-        return result
-
-    # -- Group interface -------------------------------------------------------
-
-    def generator(self) -> EcPoint:
-        return self._g
-
-    def second_generator(self) -> EcPoint:
-        return self._h
-
-    def identity(self) -> EcPoint:
-        return self._infinity
-
-    def _derive_second_generator(self) -> EcPoint:
-        """Hash-to-curve by incrementing an x candidate until it is on-curve."""
-        counter = 0
-        while True:
-            digest = sha256(b"d-demos-ec-h", counter.to_bytes(4, "big"))
-            x = int.from_bytes(digest, "big") % self.p
-            rhs = (pow(x, 3, self.p) + self.a * x + self.b) % self.p
-            y = pow(rhs, (self.p + 1) // 4, self.p)
-            if (y * y) % self.p == rhs:
-                return EcPoint(x, y, self)
-            counter += 1
-
-    def is_on_curve(self, point: EcPoint) -> bool:
-        """Check whether an affine point satisfies the curve equation."""
-        if point.is_infinity:
-            return True
-        lhs = (point.y * point.y) % self.p
-        rhs = (pow(point.x, 3, self.p) + self.a * point.x + self.b) % self.p
-        return lhs == rhs
-
-    def deserialize(self, data: bytes) -> EcPoint:
-        if not data.startswith(b"E"):
-            raise ValueError("not an EC point")
-        if data[1:2] == b"\x00":
-            return self._infinity
-        x = int.from_bytes(data[2:34], "big")
-        y = int.from_bytes(data[34:66], "big")
-        return EcPoint(x, y, self)
-
-
 _DEFAULT_GROUP: Optional[SchnorrGroup] = None
 
 
@@ -611,7 +445,6 @@ def default_group() -> SchnorrGroup:
     """Return the process-wide default group (pure-python Schnorr backend)."""
     global _DEFAULT_GROUP
     if _DEFAULT_GROUP is None:
-        with _factory_construction():
-            _DEFAULT_GROUP = SchnorrGroup()
+        _DEFAULT_GROUP = SchnorrGroup()
         _DEFAULT_GROUP.backend_name = "schnorr"
     return _DEFAULT_GROUP

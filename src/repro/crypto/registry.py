@@ -3,19 +3,17 @@
 Every group the reproduction can run on is registered here under a stable
 name, and all construction flows through :func:`get_group`:
 
-========================  ====================================================
-name (aliases)            backend
-========================  ====================================================
-``schnorr``               pure-python :class:`~repro.crypto.group.SchnorrGroup`
-                          (reference fallback; always available)
-``schnorr-gmpy2``         gmpy2-accelerated Schnorr group
-                          (:mod:`repro.crypto.gmpy2_backend`); degrades to the
-                          pure-python backend when ``gmpy2`` is not installed
-``secp256k1`` (``ec``)    short-Weierstrass curve cross-check backend
-                          (:class:`~repro.crypto.group.EcGroup`)
-``ed25519``               twisted Edwards curve with 32-byte compressed
-                          elements (:mod:`repro.crypto.ed25519`)
-========================  ====================================================
+=================  ===========================================================
+name               backend
+=================  ===========================================================
+``schnorr``        pure-python :class:`~repro.crypto.group.SchnorrGroup`
+                   (reference fallback; always available)
+``schnorr-gmpy2``  gmpy2-accelerated Schnorr group
+                   (:mod:`repro.crypto.gmpy2_backend`); degrades to the
+                   pure-python backend when ``gmpy2`` is not installed
+``ed25519``        twisted Edwards curve with 32-byte compressed elements
+                   (:mod:`repro.crypto.ed25519`); the elliptic-curve backend
+=================  ===========================================================
 
 ``get_group(name)`` without parameters returns a cached, process-wide shared
 instance (safe now that the fixed-base caches are LRU-bounded); passing
@@ -23,9 +21,7 @@ parameters always constructs a fresh group.  ``CryptoProfile.backend`` in
 :mod:`repro.api.spec` validates against this registry, so scenario configs
 and backend selection can never drift apart.
 
-Third-party backends can be added with :func:`register_backend`; the factory
-is invoked inside the registry's construction context so backend classes that
-warn on direct construction stay silent.
+Third-party backends can be added with :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.crypto.group import Group, _factory_construction, default_group
+from repro.crypto.group import Group, default_group
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,6 @@ class BackendInfo:
     name: str
     #: one-line human description
     description: str
-    #: accepted alternate names (e.g. the legacy ``"ec"`` spelling)
-    aliases: Tuple[str, ...]
     #: True when the backend uses an optional native dependency and falls
     #: back to a pure-python implementation when it is missing
     accelerated: bool
@@ -59,7 +53,6 @@ class _BackendEntry:
 
 
 _REGISTRY: Dict[str, _BackendEntry] = {}
-_ALIASES: Dict[str, str] = {}
 #: shared instances for parameterless construction, keyed by canonical name
 _INSTANCE_CACHE: Dict[str, Group] = {}
 _LOCK = threading.Lock()
@@ -69,43 +62,36 @@ def register_backend(
     name: str,
     factory: Callable[..., Group],
     *,
-    aliases: Tuple[str, ...] = (),
     description: str = "",
     accelerated: bool = False,
     replace: bool = False,
 ) -> None:
     """Register a named group backend.
 
-    ``factory(**params)`` must return a :class:`Group`.  It is invoked inside
-    the registry construction context, so backends that deprecation-warn on
-    direct instantiation construct silently through the registry.
+    ``factory(**params)`` must return a :class:`Group`.
     """
     key = name.lower()
     with _LOCK:
-        if not replace and (key in _REGISTRY or key in _ALIASES):
+        if not replace and key in _REGISTRY:
             raise ValueError(f"crypto backend {name!r} is already registered")
         _REGISTRY[key] = _BackendEntry(
             info=BackendInfo(
                 name=key,
                 description=description,
-                aliases=tuple(a.lower() for a in aliases),
                 accelerated=accelerated,
             ),
             factory=factory,
         )
-        for alias in aliases:
-            _ALIASES[alias.lower()] = key
         _INSTANCE_CACHE.pop(key, None)
 
 
 def resolve_backend_name(name: str) -> str:
-    """Map a backend name or alias to its canonical registry name.
+    """Map a backend name (any case) to its canonical registry name.
 
     Raises :class:`ValueError` (listing the registered names) for unknown
     backends -- this is the single validation point `CryptoProfile` uses.
     """
     key = name.lower()
-    key = _ALIASES.get(key, key)
     if key not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown crypto backend {name!r} (registered: {known})")
@@ -118,7 +104,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def backend_info(name: str) -> BackendInfo:
-    """Return the :class:`BackendInfo` for a backend name or alias."""
+    """Return the :class:`BackendInfo` for a backend name."""
     return _REGISTRY[resolve_backend_name(name)].info
 
 
@@ -137,8 +123,7 @@ def get_group(name: str = "schnorr", **params: object) -> Group:
         if cached is not None:
             return cached
     entry = _REGISTRY[canonical]
-    with _factory_construction():
-        group = entry.factory(**params)
+    group = entry.factory(**params)
     if group.backend_name is None:
         group.backend_name = canonical
     if not params:
@@ -168,12 +153,6 @@ def _make_schnorr_gmpy2(p: Optional[int] = None, g: Optional[int] = None) -> Gro
     return make_gmpy2_group(p=p, g=g)
 
 
-def _make_secp256k1() -> Group:
-    from repro.crypto.group import EcGroup
-
-    return EcGroup()
-
-
 def _make_ed25519() -> Group:
     from repro.crypto.ed25519 import Ed25519Group
 
@@ -193,12 +172,6 @@ register_backend(
         "pure-python backend when gmpy2 is absent"
     ),
     accelerated=True,
-)
-register_backend(
-    "secp256k1",
-    _make_secp256k1,
-    aliases=("ec",),
-    description="secp256k1 short-Weierstrass curve (cross-check backend)",
 )
 register_backend(
     "ed25519",

@@ -182,7 +182,7 @@ class Adversary:
                 extra += delay
         return extra
 
-    # -- fault-threshold checks (used by tests and the coordinator) -------------
+    # -- fault-threshold checks -------------------------------------------------
 
     @staticmethod
     def vc_threshold_ok(num_vc: int, num_faulty: int) -> bool:

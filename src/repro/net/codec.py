@@ -180,7 +180,7 @@ class MessageCodec:
     ``group`` is used to deserialize embedded group elements (the nonce
     commitment a Schnorr signature optionally carries); when omitted, the
     backend is inferred from the element's self-describing serialization
-    prefix (``b"S"`` Schnorr, ``b"E"`` secp256k1).
+    form (bare 32-byte Ed25519 points, ``b"S"``-prefixed Schnorr values).
     """
 
     def __init__(self, group: Optional[Group] = None):
@@ -337,8 +337,7 @@ def _group_for_serialized(data: bytes) -> Group:
     Ed25519 elements are bare 32-byte compressed points with no type prefix,
     so the length check must come first: a compressed point can legitimately
     begin with the byte that tags Schnorr elements.  Schnorr elements are 33
-    bytes (``b"S"`` + value) and secp256k1 points 2 or 66 (``b"E"`` + tag),
-    so the three encodings never collide.
+    bytes (``b"S"`` + value), so the two encodings never collide.
     """
     from repro.crypto.registry import get_group
 
@@ -346,8 +345,6 @@ def _group_for_serialized(data: bytes) -> Group:
         return get_group("ed25519")
     if data[:1] == b"S":
         return get_group("schnorr")
-    if data[:1] == b"E":
-        return get_group("secp256k1")
     raise WireFormatError(f"unknown group-element prefix {data[:1]!r}")
 
 

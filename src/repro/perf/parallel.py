@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -266,6 +267,10 @@ class WarmProcessPool:
     The executor is created lazily on first use, so constructing a pool is
     free; ``initargs`` stays exposed as a fingerprint letting callers verify
     a shared pool was warmed for the state they expect.
+
+    A worker that dies (killed, out of memory) breaks the whole executor.
+    The pool then drops it, so the next use spawns and warms fresh workers
+    instead of failing forever with ``BrokenProcessPool``.
     """
 
     def __init__(
@@ -295,9 +300,28 @@ class WarmProcessPool:
             )
         return self._executor
 
+    def _discard_if_broken(self, executor: ProcessPoolExecutor, exc: BaseException) -> None:
+        """Forget ``executor`` if a dead worker broke it; the next use respawns."""
+        if isinstance(exc, BrokenProcessPool) and self._executor is executor:
+            self._executor = None
+            executor.shutdown(wait=False, cancel_futures=True)
+
+    def _submit(self, task: Any, fn: Callable[..., ResultT], *args: Any) -> "Future[ResultT]":
+        """``executor.submit``, turning a broken executor into a named error."""
+        executor = self._ensure()
+        try:
+            return executor.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            self._discard_if_broken(executor, exc)
+            raise PoolTaskError(task, exc) from exc
+
     def submit(self, fn: Callable[..., ResultT], *args: Any) -> "Future[ResultT]":
-        """Submit one task; the pool (and its warm workers) persist after it."""
-        return self._ensure().submit(fn, *args)
+        """Submit one task; the pool (and its warm workers) persist after it.
+
+        Raises :class:`PoolTaskError` (task = ``args``) when a dead worker
+        has broken the executor; the pool then respawns on the next use.
+        """
+        return self._submit(args, fn, *args)
 
     def imap_unordered(
         self,
@@ -310,9 +334,9 @@ class WarmProcessPool:
         At most ``max_inflight`` tasks (default ``2 * workers``) are pending
         at any moment -- submission is demand-driven, so peak memory for
         task payloads and un-consumed results is O(inflight), not O(tasks).
-        A worker exception cancels everything still pending and raises
-        :class:`PoolTaskError` naming the failed task; the pool itself stays
-        usable afterwards.
+        A worker exception -- or a worker dying, which breaks the executor --
+        cancels everything still pending and raises :class:`PoolTaskError`
+        naming the failed task; the pool itself stays usable afterwards.
         """
         queue = list(tasks)
         self.peak_inflight = 0
@@ -329,27 +353,31 @@ class WarmProcessPool:
             task = next(backlog, _EXHAUSTED)
             if task is _EXHAUSTED:
                 return False
-            pending[executor.submit(fn, task)] = task
+            pending[self._submit(task, fn, task)] = task
             self.peak_inflight = max(self.peak_inflight, len(pending))
             return True
 
-        while len(pending) < max_inflight and submit_next():
-            pass
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                try:
-                    result = future.result()
-                except BaseException as exc:
-                    for straggler in pending:
-                        straggler.cancel()
-                    raise PoolTaskError(task, exc) from exc
-                # Refill before yielding: the next slice starts while the
-                # caller is still folding this one into the merge.
-                while len(pending) < max_inflight and submit_next():
-                    pass
-                yield task, result
+        try:
+            while len(pending) < max_inflight and submit_next():
+                pass
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    task = pending.pop(future)
+                    try:
+                        result = future.result()
+                    except BaseException as exc:
+                        self._discard_if_broken(executor, exc)
+                        raise PoolTaskError(task, exc) from exc
+                    # Refill before yielding: the next slice starts while the
+                    # caller is still folding this one into the merge.
+                    while len(pending) < max_inflight and submit_next():
+                        pass
+                    yield task, result
+        except PoolTaskError:
+            for straggler in pending:
+                straggler.cancel()
+            raise
 
     def shutdown(self, wait_for_workers: bool = True) -> None:
         """Stop the workers; the next use spawns (and re-warms) fresh ones."""

@@ -35,7 +35,7 @@ class PhaseRecorder:
     Where :func:`phase_breakdown` *models* the post-election phases, this
     records what actually happened: the audit/tally pipeline wraps each of
     its stages in :meth:`phase` and attaches the resulting dictionary to the
-    audit report, so the benchmarks and the coordinator can report measured
+    audit report, so the benchmarks and the engine can report measured
     per-phase seconds next to the modelled ones.  Re-entering a name
     accumulates (a phase may be split across loop iterations).
     """

@@ -55,7 +55,7 @@ from repro.shard.shard_runner import ShardRunner, ShardSliceResult
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard's worker raised mid-slice; names the shard, pool shut down."""
+    """A shard's worker raised or died mid-slice; names the shard."""
 
     def __init__(self, shard_id: int, cause: BaseException):
         super().__init__(f"shard {shard_id} failed in its worker: {cause}")

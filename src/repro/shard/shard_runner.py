@@ -59,6 +59,42 @@ class VoteCodeRejected(RuntimeError):
         return (VoteCodeRejected, (self.shard_id, self.serial))
 
 
+#: every key :meth:`ShardSliceResult.to_wire_dict` writes
+_WIRE_FIELDS = (
+    "record_frame",
+    "opening_values",
+    "opening_randomness",
+    "counts",
+    "messages_sent",
+    "superblocks_fast",
+    "superblocks_fallback",
+    "duration_s",
+)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _wire_ints(data: Mapping, key: str, arity: int) -> Tuple[int, ...]:
+    """A wire vector of exactly ``arity`` ints (one per option)."""
+    values = data[key]
+    if not isinstance(values, (tuple, list)) or len(values) != arity:
+        raise WireFormatError(
+            f"shard wire field {key!r} must hold {arity} ints (one per option), got {values!r}"
+        )
+    if not all(_is_int(value) for value in values):
+        raise WireFormatError(f"shard wire field {key!r} holds a non-int: {values!r}")
+    return tuple(values)
+
+
+def _wire_count(data: Mapping, key: str) -> int:
+    value = data[key]
+    if not _is_int(value) or value < 0:
+        raise WireFormatError(f"shard wire field {key!r} is not a count: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ShardSliceResult:
     """Everything a shard hands to the merge layer, plus its statistics."""
@@ -109,26 +145,42 @@ class ShardSliceResult:
         """Rebuild a result from :meth:`to_wire_dict` output.
 
         Pass a codec constructed with the election's group so the decoded
-        commitment's elements live in the caller's backend.
+        commitment's elements live in the caller's backend.  A worker's dict
+        is untrusted input: a missing key, a vector whose length is not the
+        record's option count, a non-int scalar or a negative count raises
+        :class:`WireFormatError` naming the field, before anything reaches
+        the merge.
         """
-        codec = codec or default_codec()
+        missing = [key for key in _WIRE_FIELDS if key not in data]
+        if missing:
+            raise WireFormatError(f"shard wire dict lacks field(s) {missing}")
         frame = data["record_frame"]
-        record = codec.decode(frame)
+        if not isinstance(frame, bytes):
+            raise WireFormatError("shard wire field 'record_frame' must be bytes")
+        record = (codec or default_codec()).decode(frame)
         if not isinstance(record, ShardCommitRecord):
             raise WireFormatError(
                 f"expected a ShardCommitRecord frame, decoded {type(record).__name__}"
             )
+        arity = len(record.commitment)
+        values, randomness, counts = (
+            _wire_ints(data, key, arity)
+            for key in ("opening_values", "opening_randomness", "counts")
+        )
+        if any(count < 0 for count in counts):
+            raise WireFormatError(f"shard wire field 'counts' has a negative count: {counts}")
+        duration = data["duration_s"]
+        if not isinstance(duration, (int, float)) or isinstance(duration, bool):
+            raise WireFormatError(f"shard wire field 'duration_s' is not a number: {duration!r}")
         return cls(
             record=record,
-            opening=CommitmentOpening(
-                tuple(data["opening_values"]), tuple(data["opening_randomness"])
-            ),
+            opening=CommitmentOpening(values, randomness),
             record_frame=frame,
-            counts=tuple(data["counts"]),
-            messages_sent=int(data["messages_sent"]),
-            superblocks_fast=int(data["superblocks_fast"]),
-            superblocks_fallback=int(data["superblocks_fallback"]),
-            duration_s=float(data["duration_s"]),
+            counts=counts,
+            messages_sent=_wire_count(data, "messages_sent"),
+            superblocks_fast=_wire_count(data, "superblocks_fast"),
+            superblocks_fallback=_wire_count(data, "superblocks_fallback"),
+            duration_s=float(duration),
         )
 
 

@@ -20,7 +20,6 @@ from repro.analysis.determinism import (
     check_scenario,
     default_choices,
     is_live,
-    outcome_hash,
     run_once,
     safety_violations,
 )
@@ -88,6 +87,26 @@ class TestPresetDeterminism:
             assert verdict.deterministic, f"{preset} nondeterministic at seed {verdict.seed}"
             assert verdict.safety == []
             assert verdict.live
+
+
+#: canonical outcome hash of every preset at its own seed.  A refactor that
+#: changes one of these changed the election, not just the code.
+PINNED_PRESET_HASHES = {
+    "paper_baseline": "52d97e71dd5bb49c8631e220e310c4f46bc728e43ead6f2916b65d00a25c6a3b",
+    "batched_fast": "e4dff8d601f6ca360fb85957b6b3d8b5a0db1717445ae6b4a743b1e8d0446d8b",
+    "byzantine_stress": "639e5dcad8d91c40b03b3912252356c4a741252701fcbe82739e06ef68446a3b",
+    "national_scale": "f01db993f178f02e57c6f77009355f70b476afdc9893d79d50b827167ee9526d",
+}
+
+
+class TestPinnedPresetHashes:
+    def test_every_preset_is_pinned(self):
+        assert set(PINNED_PRESET_HASHES) == set(PRESETS)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_outcome_hash_is_pinned(self, preset):
+        _, digest = run_once(ScenarioSpec.preset(preset))
+        assert digest == PINNED_PRESET_HASHES[preset]
 
 
 class TestCrashRecovery:

@@ -62,7 +62,7 @@ class TestBackendElections:
 
 class TestBackendRoundTrip:
     @pytest.mark.parametrize(
-        "backend", ["schnorr", "schnorr-gmpy2", "secp256k1", "ed25519"]
+        "backend", ["schnorr", "schnorr-gmpy2", "ed25519"]
     )
     def test_backend_survives_spec_round_trip(self, backend):
         spec = ScenarioSpec(crypto=CryptoProfile(backend=backend))
@@ -70,15 +70,11 @@ class TestBackendRoundTrip:
         assert restored.crypto.backend == backend
         assert restored == spec
 
-    def test_legacy_group_alias_normalizes(self):
-        assert CryptoProfile(group="ec").backend == "secp256k1"
-        assert CryptoProfile(group="schnorr") == CryptoProfile()
-        # Old serialized profiles round-trip onto the new field.
-        assert CryptoProfile.from_dict({"group": "ec"}).backend == "secp256k1"
-
-    def test_conflicting_backend_and_group_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            CryptoProfile(backend="ed25519", group="ec")
+    def test_removed_group_key_is_refused(self):
+        # A payload naming the backend under the pre-registry "group" key
+        # must not silently load as the default backend.
+        with pytest.raises(ValueError, match="unknown crypto profile keys"):
+            CryptoProfile.from_dict({"group": "ed25519"})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown crypto backend"):

@@ -1,7 +1,5 @@
 """ElectionEngine: phase drivers, typed event ordering, legacy equivalence."""
 
-import warnings
-
 import pytest
 
 from repro.api import (
@@ -17,7 +15,6 @@ from repro.api import (
     TallyComputed,
 )
 from repro.api.events import RecordingObserver
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
@@ -141,7 +138,7 @@ class TestEventOrdering:
 
 
 class TestPresetEquivalence:
-    """`paper_baseline` reproduces what the old coordinator defaults produced."""
+    """`paper_baseline` reproduces what the legacy parameter defaults produce."""
 
     def test_paper_baseline_matches_old_coordinator_defaults(self):
         spec = ScenarioSpec.preset("paper_baseline", seed=2024)
@@ -150,10 +147,8 @@ class TestPresetEquivalence:
         legacy_params = ElectionParameters.small_test_election(
             num_voters=5, num_options=3, election_end=500.0
         )
-        coordinator = ElectionCoordinator(legacy_params, seed=2024)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_outcome = coordinator.run_election(CHOICES)
+        legacy_spec = ScenarioSpec.from_election_parameters(legacy_params, seed=2024)
+        old_outcome = ElectionEngine(legacy_spec).run(CHOICES)
 
         assert new_outcome.tally.as_dict() == old_outcome.tally.as_dict()
         assert new_outcome.audit_report.passed == old_outcome.audit_report.passed
@@ -168,26 +163,3 @@ class TestPresetEquivalence:
         assert params.consensus_batch_size == spec.consensus.batch_size
         assert params.batch_audit is spec.audit.batch
 
-
-class TestCoordinatorShim:
-    def test_run_election_emits_deprecation_warning(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=2, num_options=2, election_end=200.0
-        )
-        coordinator = ElectionCoordinator(params, seed=3)
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            outcome = coordinator.run_election(["option-1", "option-2"])
-        assert outcome.tally is not None
-        assert outcome.audit_report.passed
-
-    def test_phase_methods_still_compose(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=2, num_options=2, election_end=200.0
-        )
-        coordinator = ElectionCoordinator(params, seed=3)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-2"])
-        coordinator.run_voting_phase()
-        tally = coordinator.run_trustee_phase()
-        assert tally.as_dict() == {"option-1": 1, "option-2": 1}
-        assert coordinator.run_audit().passed

@@ -57,7 +57,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkProfile(drop_rate=1.5)
         with pytest.raises(ValueError):
-            CryptoProfile(group="rsa")
+            CryptoProfile(backend="rsa")
 
     def test_unknown_behavior_rejected(self):
         with pytest.raises(ValueError, match="unknown VC behaviour"):

@@ -8,39 +8,33 @@ the published result are unaffected.
 
 import pytest
 
-from repro.core.byzantine import (
-    CorruptTrustee,
-    EquivocatingVoteCollector,
-    ShareCorruptingVoteCollector,
-    SilentVoteCollector,
-    WithholdingBulletinBoard,
-)
-from repro.core.coordinator import ElectionCoordinator
+from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
+from repro.core.byzantine import CorruptTrustee
 from repro.core.election import ElectionParameters
 
+CHOICES = ["option-1", "option-2", "option-1"]
 
-def run_faulty_election(vc_classes=None, bb_classes=None, trustee_classes=None, seed=41,
-                        num_trustees=3, trustee_threshold=2):
+
+def run_faulty_election(vc_behaviors=None, bb_behaviors=None, trustee_behaviors=None,
+                        seed=41, num_trustees=3, trustee_threshold=2):
     params = ElectionParameters.small_test_election(
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
         num_trustees=num_trustees, trustee_threshold=trustee_threshold,
         election_end=300.0,
     )
-    coordinator = ElectionCoordinator(
-        params,
-        seed=seed,
-        vc_node_classes=vc_classes or {},
-        bb_node_classes=bb_classes or {},
-        trustee_classes=trustee_classes or {},
+    adversary = AdversaryProfile(
+        vc_behaviors=vc_behaviors or {},
+        bb_behaviors=bb_behaviors or {},
+        trustee_behaviors=trustee_behaviors or {},
     )
-    choices = ["option-1", "option-2", "option-1"]
-    return coordinator.run_election(choices, voter_patience=10.0)
+    spec = ScenarioSpec.from_election_parameters(params, seed=seed, adversary=adversary)
+    return ElectionEngine(spec).run(CHOICES, voter_patience=10.0)
 
 
 class TestByzantineVoteCollectors:
     @pytest.fixture(scope="class")
     def silent_outcome(self):
-        return run_faulty_election(vc_classes={"VC-2": SilentVoteCollector})
+        return run_faulty_election(vc_behaviors={"VC-2": "silent"})
 
     def test_silent_vc_does_not_block_receipts(self, silent_outcome):
         assert silent_outcome.receipts_obtained == 3
@@ -59,7 +53,7 @@ class TestByzantineVoteCollectors:
 
     @pytest.fixture(scope="class")
     def corrupting_outcome(self):
-        return run_faulty_election(vc_classes={"VC-1": ShareCorruptingVoteCollector}, seed=43)
+        return run_faulty_election(vc_behaviors={"VC-1": "share_corrupting"}, seed=43)
 
     def test_corrupted_shares_rejected_receipts_still_issued(self, corrupting_outcome):
         assert corrupting_outcome.receipts_obtained == 3
@@ -70,7 +64,7 @@ class TestByzantineVoteCollectors:
 
     @pytest.fixture(scope="class")
     def equivocating_outcome(self):
-        return run_faulty_election(vc_classes={"VC-3": EquivocatingVoteCollector}, seed=47)
+        return run_faulty_election(vc_behaviors={"VC-3": "equivocating"}, seed=47)
 
     def test_equivocating_vc_cannot_break_agreement(self, equivocating_outcome):
         honest = [vc for vc in equivocating_outcome.vote_collectors if vc.node_id != "VC-3"]
@@ -86,7 +80,7 @@ class TestByzantineVoteCollectors:
 class TestByzantineBulletinBoard:
     @pytest.fixture(scope="class")
     def withholding_outcome(self):
-        return run_faulty_election(bb_classes={"BB-1": WithholdingBulletinBoard}, seed=53)
+        return run_faulty_election(bb_behaviors={"BB-1": "withholding"}, seed=53)
 
     def test_majority_read_masks_withholding_node(self, withholding_outcome):
         assert withholding_outcome.tally is not None
@@ -105,23 +99,31 @@ class TestByzantineTrustee:
     def test_corrupt_tally_share_is_detected_not_accepted(self):
         """With only ht = Nt submissions available and one corrupted, the
         combined opening fails verification: the BB must refuse to publish a
-        wrong tally rather than silently accept it."""
+        wrong tally rather than silently accept it.
+
+        One corrupt trustee out of three with ht = 3 exceeds the tolerated
+        Nt - ht = 0, so the spec refuses to declare it; the test swaps the
+        class into the run context to drive the protocol past the bound."""
         params = ElectionParameters.small_test_election(
             num_voters=3, num_options=2, num_vc=4, num_bb=3,
             num_trustees=3, trustee_threshold=3, election_end=300.0,
         )
-        coordinator = ElectionCoordinator(
-            params, seed=59, trustee_classes={"T-0": CorruptTrustee}
-        )
-        with pytest.raises(ValueError):
-            coordinator.run_election(["option-1", "option-2", "option-1"],
-                                     voter_patience=10.0)
+        spec = ScenarioSpec.from_election_parameters(params, seed=59)
+        with pytest.raises(ValueError, match="corrupt trustees exceed"):
+            spec.derive(adversary=AdversaryProfile(trustee_behaviors={"T-0": "corrupt"}))
+        engine = ElectionEngine(spec)
+        ctx = engine.begin(CHOICES, voter_patience=10.0)
+        ctx.trustee_classes["T-0"] = CorruptTrustee
+        with pytest.raises(ValueError, match="does not verify"):
+            for driver in engine.drivers:
+                if driver.should_run(ctx):
+                    engine.run_phase(driver, ctx)
 
     def test_corrupt_trustee_masked_when_threshold_met_by_honest(self):
         """With ht = 2 of 3, the two honest trustees suffice; the corrupted
         share never has to be used if the honest quorum submits first."""
         outcome = run_faulty_election(
-            trustee_classes={"T-2": CorruptTrustee},
+            trustee_behaviors={"T-2": "corrupt"},
             num_trustees=3, trustee_threshold=2, seed=61,
         )
         # The BB accepts the first ht submissions it can verify; since the two

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.api import CryptoProfile, ElectionEngine, ScenarioSpec
 from repro.core.ballot import PART_A, PART_B
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
+from repro.core.outcome import ElectionOutcome
+
+
+def three_voter_spec(seed):
+    params = ElectionParameters.small_test_election(
+        num_voters=3, num_options=2, election_end=200.0
+    )
+    return ScenarioSpec.from_election_parameters(params, seed=seed)
 
 
 class TestHonestElection:
@@ -47,11 +55,7 @@ class TestControlledPartChoices:
 
     @pytest.fixture(scope="class")
     def pinned_outcome(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=200.0
-        )
-        coordinator = ElectionCoordinator(params, seed=23)
-        return coordinator.run_election(
+        return ElectionEngine(three_voter_spec(seed=23)).run(
             ["option-2", "option-2", "option-1"],
             voter_parts=[PART_A, PART_B, PART_A],
         )
@@ -78,28 +82,27 @@ class TestAbstentions:
 
     @pytest.fixture(scope="class")
     def abstention_outcome(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=200.0
-        )
-        coordinator = ElectionCoordinator(params, seed=31)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-1", "option-2"])
+        engine = ElectionEngine(three_voter_spec(seed=31))
+        ctx = engine.begin(["option-1", "option-1", "option-2"])
+        engine.run_phase(engine.driver("setup"))
+        voting = engine.driver("voting")
+        voting.prepare(ctx)
         # Remove the last voter's start: simply never schedule it.
-        abstainer = coordinator.voters.pop()
-        coordinator.run_voting_phase()
-        tally = coordinator.run_trustee_phase()
-        report = coordinator.run_audit()
-        from repro.core.coordinator import ElectionOutcome
+        abstainer = ctx.voters.pop()
+        voting.schedule(ctx)
+        voting.execute(ctx)
+        for name in ("consensus", "tally", "audit"):
+            engine.run_phase(engine.driver(name))
 
         return ElectionOutcome(
-            setup=coordinator.setup,
-            network=coordinator.network,
-            vote_collectors=coordinator.vote_collectors,
-            bb_nodes=coordinator.bb_nodes,
-            trustees=coordinator.trustees,
-            voters=coordinator.voters + [abstainer],
-            tally=tally,
-            audit_report=report,
+            setup=ctx.setup,
+            network=ctx.network,
+            vote_collectors=ctx.vote_collectors,
+            bb_nodes=ctx.bb_nodes,
+            trustees=ctx.trustees,
+            voters=ctx.voters + [abstainer],
+            tally=ctx.tally,
+            audit_report=ctx.audit_report,
         )
 
     def test_only_cast_votes_are_tallied(self, abstention_outcome):
@@ -123,15 +126,21 @@ class TestAbstentions:
 class TestCoordinatorValidation:
     def test_choice_count_must_match_voters(self):
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
-        coordinator = ElectionCoordinator(params, seed=1)
-        coordinator.run_setup()
+        engine = ElectionEngine(ScenarioSpec.from_election_parameters(params, seed=1))
+        ctx = engine.begin(["option-1"])
+        engine.run_phase(engine.driver("setup"))
         with pytest.raises(ValueError):
-            coordinator.build_components(["option-1"])
+            engine.driver("voting").prepare(ctx)
 
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
-        coordinator = ElectionCoordinator(params, seed=1, include_proofs=False)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-2"])
+        spec = ScenarioSpec.from_election_parameters(
+            params, seed=1, crypto=CryptoProfile(include_proofs=False)
+        )
+        engine = ElectionEngine(spec)
+        ctx = engine.begin(["option-1", "option-2"])
+        engine.run_phase(engine.driver("setup"))
+        engine.driver("voting").prepare(ctx)
         # Voting phase never ran: the BB has no vote set, trustees cannot work.
-        assert coordinator.run_trustee_phase() is None
+        engine.driver("tally").execute(ctx)
+        assert ctx.tally is None

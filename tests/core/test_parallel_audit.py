@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import ElectionEngine, ScenarioSpec
 from repro.core.auditor import Auditor
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 from repro.core.tally import combine_tally_commitments, open_tally, open_tally_parallel
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
@@ -17,9 +17,9 @@ def batch_outcome():
     params = ElectionParameters.small_test_election(
         num_voters=4, num_options=2, election_end=200.0
     )
-    coordinator = ElectionCoordinator(params, seed=13)
+    spec = ScenarioSpec.from_election_parameters(params, seed=13)
     choices = ["option-1", "option-2", "option-2", "option-1"]
-    return coordinator.run_election(choices)
+    return ElectionEngine(spec).run(choices)
 
 
 class TestVerifyAll:
@@ -78,8 +78,8 @@ class TestTamperDetection:
         params = ElectionParameters.small_test_election(
             num_voters=4, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=17)
-        return coordinator.run_election(["option-1", "option-1", "option-2", "option-2"])
+        spec = ScenarioSpec.from_election_parameters(params, seed=17)
+        return ElectionEngine(spec).run(["option-1", "option-1", "option-2", "option-2"])
 
     def test_corrupted_opening_is_located(self, tampered_outcome, group):
         serial = part = None
@@ -171,8 +171,8 @@ class TestElectionParameterKnobs:
         params = ElectionParameters.small_test_election(
             num_voters=3, num_options=2, election_end=200.0, batch_audit=False
         )
-        coordinator = ElectionCoordinator(params, seed=19)
-        outcome = coordinator.run_election(["option-1", "option-2", "option-1"])
+        spec = ScenarioSpec.from_election_parameters(params, seed=19)
+        outcome = ElectionEngine(spec).run(["option-1", "option-2", "option-1"])
         assert outcome.audit_report.passed
         # The per-item path records no phase timings.
         assert outcome.audit_timings == {}

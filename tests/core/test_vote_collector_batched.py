@@ -10,8 +10,8 @@ agreement.
 
 import pytest
 
+from repro.api import ElectionEngine, ScenarioSpec
 from repro.core.byzantine import UcertWithholdingVoteCollector
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.ea import ElectionAuthority, vc_node_id
 from repro.core.election import ElectionParameters
 from repro.core.messages import VoteRequest
@@ -30,10 +30,11 @@ def run_outcome(batch_size, seed=11):
         num_voters=len(CHOICES), num_options=2, election_end=500.0,
         consensus_batch_size=batch_size,
     )
-    # Pin the EA randomness so every batch size sees the *same* ballots
-    # (serials, vote codes) and the final vote sets are comparable.
-    coordinator = ElectionCoordinator(params, seed=seed, rng=RandomSource(99))
-    return coordinator, coordinator.run_election(CHOICES)
+    # The spec seed pins the EA randomness, so every batch size sees the
+    # *same* ballots (serials, vote codes) and the final vote sets are
+    # comparable.
+    engine = ElectionEngine(ScenarioSpec.from_election_parameters(params, seed=seed))
+    return engine, engine.run(CHOICES)
 
 
 class TestBatchedElections:

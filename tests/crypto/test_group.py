@@ -8,7 +8,8 @@ from repro.crypto.registry import get_group
 
 @pytest.fixture(scope="module")
 def ec_group():
-    return get_group("secp256k1")
+    """The elliptic-curve backend (Ed25519)."""
+    return get_group("ed25519")
 
 
 class TestSchnorrGroup:
@@ -65,11 +66,14 @@ class TestSchnorrGroup:
 
 
 class TestEcGroup:
+    """The elliptic-curve backend: Ed25519, checked with ``is_member``
+    (on-curve and in the prime-order subgroup)."""
+
     def test_generator_on_curve(self, ec_group):
-        assert ec_group.is_on_curve(ec_group.generator())
+        assert ec_group.is_member(ec_group.generator())
 
     def test_second_generator_on_curve(self, ec_group):
-        assert ec_group.is_on_curve(ec_group.second_generator())
+        assert ec_group.is_member(ec_group.second_generator())
 
     def test_generator_has_prime_order(self, ec_group):
         assert ec_group.generator() ** ec_group.order == ec_group.identity()
@@ -81,9 +85,15 @@ class TestEcGroup:
     def test_inverse_is_reflection(self, ec_group):
         point = ec_group.generator() ** 11
         assert point * point.inverse() == ec_group.identity()
+        # (x, y) -> (-x, y): same y, only the compressed sign bit of x flips.
+        encoded, inverted = point.serialize(), point.inverse().serialize()
+        assert encoded[:31] == inverted[:31]
+        assert encoded[31] ^ inverted[31] == 0x80
 
     def test_identity_is_infinity(self, ec_group):
-        assert ec_group.identity().is_infinity
+        # The Edwards neutral element (0, 1) is the image of the Weierstrass
+        # point at infinity: compressed, it is y = 1 with a clear sign bit.
+        assert ec_group.identity().serialize() == (1).to_bytes(32, "little")
 
     def test_scalar_multiplication_distributes(self, ec_group):
         g = ec_group.generator()
@@ -99,7 +109,7 @@ class TestEcGroup:
     def test_points_on_curve_after_arithmetic(self, ec_group):
         g = ec_group.generator()
         for k in (2, 17, 12345):
-            assert ec_group.is_on_curve(g ** k)
+            assert ec_group.is_member(g ** k)
 
 
 class TestFixedBasePrecomputation:

@@ -1,4 +1,4 @@
-"""The named crypto backend registry and the construction deprecation shim."""
+"""The named crypto backend registry."""
 
 import warnings
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.ed25519 import Ed25519Group
 from repro.crypto.gmpy2_backend import HAVE_GMPY2, Gmpy2SchnorrGroup
-from repro.crypto.group import EcGroup, Group, SchnorrGroup, default_group
+from repro.crypto.group import Group, SchnorrGroup, default_group
 from repro.crypto.registry import (
     available_backends,
     backend_info,
@@ -18,15 +18,12 @@ from repro.crypto.registry import (
 
 class TestResolution:
     def test_all_builtin_backends_registered(self):
-        assert set(available_backends()) >= {
-            "schnorr",
-            "schnorr-gmpy2",
-            "secp256k1",
-            "ed25519",
-        }
+        assert set(available_backends()) >= {"schnorr", "schnorr-gmpy2", "ed25519"}
 
-    def test_legacy_ec_alias(self):
-        assert resolve_backend_name("ec") == "secp256k1"
+    @pytest.mark.parametrize("name", ["ec", "secp256k1"])
+    def test_removed_curve_names_are_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown crypto backend"):
+            resolve_backend_name(name)
 
     def test_names_are_case_insensitive(self):
         assert resolve_backend_name("Ed25519") == "ed25519"
@@ -36,16 +33,16 @@ class TestResolution:
             resolve_backend_name("rsa")
 
     def test_backend_info(self):
-        info = backend_info("ec")
-        assert info.name == "secp256k1"
-        assert "ec" in info.aliases
+        info = backend_info("Ed25519")
+        assert info.name == "ed25519"
+        assert not info.accelerated
         assert backend_info("schnorr-gmpy2").accelerated
 
 
 class TestGetGroup:
     def test_parameterless_calls_share_one_instance(self):
         assert get_group("ed25519") is get_group("ed25519")
-        assert get_group("secp256k1") is get_group("ec")
+        assert get_group("Ed25519") is get_group("ed25519")
 
     def test_schnorr_shares_the_process_default(self):
         # Codec prefix-sniffing and legacy default_group() callers must end
@@ -60,7 +57,7 @@ class TestGetGroup:
     def test_backend_name_is_stamped(self):
         assert get_group("schnorr").backend_name == "schnorr"
         assert get_group("ed25519").backend_name == "ed25519"
-        assert get_group("ec").backend_name == "secp256k1"
+        assert get_group("ED25519").backend_name == "ed25519"
 
     def test_gmpy2_backend_selects_by_availability(self):
         group = get_group("schnorr-gmpy2")
@@ -79,16 +76,16 @@ class TestGetGroup:
 
 
 class TestDeprecationShim:
-    @pytest.mark.parametrize("cls", [SchnorrGroup, EcGroup, Ed25519Group])
-    def test_direct_construction_warns(self, cls):
-        with pytest.warns(DeprecationWarning, match="get_group"):
-            cls()
+    """Backend classes also construct directly, without any warning."""
 
     def test_direct_construction_still_works(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             group = SchnorrGroup()
+            curve = Ed25519Group()
         assert group.power_g(3) == group.generator() ** 3
+        assert curve.power_g(3) == curve.generator() ** 3
+        assert group.backend_name is None
 
 
 class TestRegisterBackend:
@@ -97,14 +94,11 @@ class TestRegisterBackend:
 
         def factory(**params):
             calls.append(params)
-            # Direct construction is sanctioned inside a registered factory.
             return SchnorrGroup(g=16)
 
-        register_backend(
-            "test-custom", factory, aliases=("tc",), description="test only"
-        )
+        register_backend("test-custom", factory, description="test only")
         try:
-            group = get_group("tc")
+            group = get_group("Test-Custom")
             assert isinstance(group, Group)
             assert group.backend_name == "test-custom"
             assert calls == [{}]
@@ -115,7 +109,6 @@ class TestRegisterBackend:
             from repro.crypto import registry
 
             registry._REGISTRY.pop("test-custom", None)
-            registry._ALIASES.pop("tc", None)
             registry._INSTANCE_CACHE.pop("test-custom", None)
 
     def test_duplicate_registration_rejected(self):

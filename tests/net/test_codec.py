@@ -63,7 +63,7 @@ def sample_messages(signature):
     endorsement = Endorsement(7, b"code-bytes", "VC-1", signature)
     ucert = UniquenessCertificate(7, b"code-bytes", (endorsement,))
     signed_share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", signature)
-    group = get_group("secp256k1")
+    group = get_group("ed25519")
     scheme = OptionEncodingScheme(2, group.power_g(5), group)
     commitment, _ = scheme.commit_option(1, RandomSource(9))
     shard_record = ShardCommitRecord(
@@ -149,7 +149,7 @@ class TestRoundTrip:
         assert codec.decode(codec.encode(bare)) == bare
 
     def test_ec_group_elements_round_trip(self):
-        group = get_group("secp256k1")
+        group = get_group("ed25519")
         scheme = SignatureScheme(group)
         keys = scheme.keygen(RandomSource(5))
         sig = scheme.sign(keys, b"ec", RandomSource(6))

@@ -2,7 +2,9 @@
 
 import operator
 import os
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -52,6 +54,13 @@ def slow_square(value):
 def fail_on_seven(value):
     if value == 7:
         raise ValueError("seven is right out")
+    return value
+
+
+def die_on_three(value):
+    """SIGKILLs its own worker process on task 3 (an OOM kill, say)."""
+    if value == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
     return value
 
 
@@ -218,6 +227,31 @@ class TestWarmProcessPool:
             assert isinstance(excinfo.value.__cause__, ValueError)
             # the pool survives the failure
             assert dict(pool.imap_unordered(square, [3])) == {3: 9}
+
+    def test_killed_worker_is_named_and_the_pool_respawns(self):
+        with WarmProcessPool(workers=2, initializer=_warm, initargs=("hot",)) as pool:
+            with pytest.raises(PoolTaskError) as excinfo:
+                list(pool.imap_unordered(die_on_three, range(8), max_inflight=4))
+            assert excinfo.value.task in range(8)
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert not pool.started
+            # the next use spawns fresh workers, warmed by the initializer
+            assert dict(pool.imap_unordered(read_warmed, [1, 2])) == {
+                1: ("hot", 1), 2: ("hot", 2),
+            }
+            assert pool.submit(square, 5).result() == 25
+
+    def test_worker_killed_while_idle_fails_one_run_only(self):
+        with WarmProcessPool(workers=1) as pool:
+            assert pool.submit(square, 2).result() == 4
+            (pid,) = pool._executor._processes
+            os.kill(pid, signal.SIGKILL)
+            # the only worker is dead: the task fails, at submit or result time
+            with pytest.raises(PoolTaskError) as excinfo:
+                list(pool.imap_unordered(square, [6]))
+            assert excinfo.value.task == 6
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert dict(pool.imap_unordered(square, [6])) == {6: 36}
 
     def test_resolves_default_worker_count(self):
         pool = WarmProcessPool()

@@ -33,13 +33,12 @@ BACKENDS = {
     "schnorr": PURE,
     "schnorr-gmpy2": FAST,
     "ed25519": get_group("ed25519"),
-    "secp256k1": get_group("secp256k1"),
 }
 
 relaxed = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-# The pure-python curve backends cost milliseconds per exponentiation, so the
+# The pure-python curve backend costs milliseconds per exponentiation, so the
 # axiom sweep uses fewer examples than the integer-only agreement tests.
 brief = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -1,5 +1,9 @@
 """Parallel shard driver: worker-count invariance, memory bound, failure path."""
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
@@ -145,6 +149,39 @@ class TestWorkerFailure:
             spec, num_ballots=NUM_BALLOTS, pool=pool
         ).run()
         assert outcome.report.ok
+
+    def test_killed_worker_is_named_and_the_pool_recovers(self, spec):
+        """SIGKILL one real worker mid-run: the run names a shard, and the
+        next run on the same pool respawns warm workers and reproduces the
+        sequential global commit frame bit for bit."""
+        spec = spec.derive(sharding=ShardingProfile(num_shards=8))
+        reference = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
+        killed = []
+
+        def kill_one_worker(result):
+            if not killed:
+                killed.append(next(iter(own_pool._executor._processes)))
+                os.kill(killed[0], signal.SIGKILL)
+
+        with shard_worker_pool(spec, workers=2) as own_pool:
+            with pytest.raises(ShardExecutionError) as excinfo:
+                ParallelShardedElectionDriver(
+                    spec,
+                    num_ballots=NUM_BALLOTS,
+                    pool=own_pool,
+                    max_inflight_shards=2,
+                    on_shard=kill_one_worker,
+                ).run()
+            assert killed
+            assert 0 <= excinfo.value.shard_id < 8
+            assert isinstance(excinfo.value.__cause__.__cause__, BrokenProcessPool)
+            rerun = ParallelShardedElectionDriver(
+                spec, num_ballots=NUM_BALLOTS, pool=own_pool
+            ).run()
+        assert rerun.report.ok
+        assert encode(spec, rerun.global_record) == encode(
+            spec, reference.global_record
+        )
 
     def test_owned_pool_is_shut_down_on_failure(self, spec):
         driver = ParallelShardedElectionDriver(
