@@ -3,9 +3,9 @@
 Reads every ``benchmarks/results/*.json`` the sharded benchmarks produce
 (``sharded_pipeline.json``, ``sharded_parallel.json``) and writes
 ``BENCH_SHARDED.json`` at the repository root: one self-contained record of
-the scale pipeline's current numbers -- ballots/s per configuration, peak
-RSS, the parallel speedup over one worker and over the sequential pipeline
--- stamped with the git revision and an ISO date, so a reviewer (or the
+the scale pipeline's current numbers -- ballots/s per configuration (timed
+untraced), the traced memory peak, the parallel speedup over one worker and
+over the sequential pipeline -- stamped with the git revision and an ISO date, so a reviewer (or the
 nightly CI artifact) can read the pipeline's health without digging through
 the raw per-benchmark rows.
 
@@ -60,13 +60,12 @@ def load_rows(name: str) -> list:
 
 
 def summarize_pipeline(rows: list) -> list:
-    """Per-shard-count throughput/memory from ``sharded_pipeline.json``."""
+    """Per-shard-count throughput and traced memory peak from ``sharded_pipeline.json``."""
     return [
         {
             "num_shards": row["num_shards"],
             "num_ballots": row["num_ballots"],
             "ballots_per_s": row["ballots_per_s"],
-            "peak_rss_bytes": row["peak_rss_bytes"],
             "peak_traced_bytes": row["peak_traced_bytes"],
             "verified": row["verified"],
         }
@@ -91,7 +90,8 @@ def summarize_parallel(rows: list) -> dict:
             "num_shards": row["num_shards"],
             "num_ballots": row["num_ballots"],
             "ballots_per_s": row["ballots_per_s"],
-            "peak_rss_bytes": row["peak_rss_bytes"],
+            "timing_inflight": row["timing_inflight"],
+            "peak_traced_bytes": row["peak_traced_bytes"],
             "peak_inflight": row["peak_inflight"],
             "verified": row["verified"],
         }
@@ -108,7 +108,7 @@ def summarize_parallel(rows: list) -> dict:
     if sequential:
         summary["sequential"] = {
             "ballots_per_s": sequential["ballots_per_s"],
-            "peak_rss_bytes": sequential["peak_rss_bytes"],
+            "peak_traced_bytes": sequential["peak_traced_bytes"],
         }
     return summary
 

@@ -8,11 +8,12 @@ arbitrarily.  This benchmark runs the same election (same seed, same election
 id, hence bit-identical ballot derivations) at 1, 4 and 16 shards through
 ``MultiElectionService.run_sharded`` and records, per shard count:
 
-* ``ballots_per_s``   -- end-to-end pipeline throughput;
-* ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during the
-  run, measured per-block with :class:`repro.perf.memory.MemoryTracker`
-  (resettable, unlike ``ru_maxrss``) -- this is what the memory gate asserts;
-* ``peak_rss_bytes``  -- the OS ``ru_maxrss`` high-water mark for context.
+* ``ballots_per_s``   -- end-to-end pipeline throughput, timed in an
+  untraced pass (tracemalloc slows the pipeline several-fold);
+* ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during a
+  separate replay of the run, measured per-block with
+  :class:`repro.perf.memory.MemoryTracker` (resettable, unlike the
+  process-lifetime ``ru_maxrss``) -- this is what the memory gate asserts.
 
 Gates (CI runs this with ``SHARD_SMOKE=1`` at 100k ballots; the full run is
 1M ballots):
@@ -25,11 +26,14 @@ Gates (CI runs this with ``SHARD_SMOKE=1`` at 100k ballots; the full run is
 
 The parallel sweep (``test_parallel_worker_sweep``) runs the *same* 16-shard
 election with shard slices on a warm process pool at 1, 2 and 4 workers
-(:class:`repro.shard.ParallelShardedElectionDriver`) and gates:
+(:class:`repro.shard.ParallelShardedElectionDriver`).  Each worker count runs
+twice: an untraced timing pass with ``max_inflight_shards = max(workers, 2)``,
+so every worker can be busy, and a traced memory pass with
+``max_inflight_shards=2``.  It gates:
 
 1. every run's cross-shard commit verifies;
 2. the global commit record is **bit-identical** (canonical wire frame) for
-   every worker count against the sequential pipeline;
+   every worker count and pass against the sequential pipeline;
 3. on a machine with >= 4 cores, 4 workers deliver at least 2x the
    sequential ballots/s (skipped -- not silently passed -- on smaller
    machines, where the speedup is physically impossible);
@@ -70,6 +74,20 @@ PARALLEL_MEMORY_GATE = 1.5
 BASE = ScenarioSpec.preset("national_scale", election_id="sharded-pipeline", seed=11)
 
 
+def timed_and_traced(tracker: MemoryTracker, name: str, timed_run, traced_run):
+    """``timed_run()`` untraced for its timing, then ``traced_run()`` under ``tracker``.
+
+    Returns both outcomes; the traced run's peak lands in
+    ``tracker.samples[name]``.
+    """
+    gc.collect()
+    timed = timed_run()
+    gc.collect()
+    with tracker.track(name):
+        traced = traced_run()
+    return timed, traced
+
+
 def run_sweep():
     tracker = MemoryTracker()
     rows = []
@@ -82,24 +100,22 @@ def run_sweep():
                 scale_turnout=BASE.sharding.scale_turnout,
             )
         )
-        service = MultiElectionService()
-        gc.collect()
-        with tracker.track(f"shards-{shards}"):
-            report = service.run_sharded(spec, num_ballots=NUM_BALLOTS)
-        outcome = report.outcome
-        outcomes[shards] = outcome
-        sample = tracker.samples[f"shards-{shards}"]
+
+        def run(spec=spec):
+            return MultiElectionService().run_sharded(spec, num_ballots=NUM_BALLOTS).outcome
+
+        timed, traced = timed_and_traced(tracker, f"shards-{shards}", run, run)
+        outcomes[shards] = timed
         rows.append(
             {
                 "num_shards": shards,
                 "num_ballots": NUM_BALLOTS,
-                "ballots_cast": outcome.global_record.total_cast,
-                "verified": outcome.report.ok,
-                "ballots_per_s": round(outcome.ballots_per_s, 1),
-                "duration_s": round(outcome.duration_s, 3),
-                "peak_traced_bytes": sample.peak_traced_bytes,
-                "peak_rss_bytes": sample.peak_rss_bytes,
-                "tally": outcome.tally.as_dict(),
+                "ballots_cast": timed.global_record.total_cast,
+                "verified": timed.report.ok and traced.report.ok,
+                "ballots_per_s": round(timed.ballots_per_s, 1),
+                "duration_s": round(timed.duration_s, 3),
+                "peak_traced_bytes": tracker.samples[f"shards-{shards}"].peak_traced_bytes,
+                "tally": timed.tally.as_dict(),
             }
         )
     return rows, outcomes
@@ -153,49 +169,54 @@ def run_worker_sweep():
     rows = []
     frames = {}
 
-    gc.collect()
-    with tracker.track("sequential"):
-        sequential = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
+    def run():
+        return ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
+
+    sequential, traced = timed_and_traced(tracker, "sequential", run, run)
     frames["sequential"] = codec.encode(sequential.global_record)
+    frames["sequential-traced"] = codec.encode(traced.global_record)
     rows.append(
         {
             "mode": "sequential",
             "workers": 0,
             "num_shards": PARALLEL_SHARDS,
             "num_ballots": NUM_BALLOTS,
-            "verified": sequential.report.ok,
+            "verified": sequential.report.ok and traced.report.ok,
             "ballots_per_s": round(sequential.ballots_per_s, 1),
             "duration_s": round(sequential.duration_s, 3),
+            "timing_inflight": 1,
+            "timing_peak_inflight": 1,
             "peak_inflight": 1,
             "peak_traced_bytes": tracker.samples["sequential"].peak_traced_bytes,
-            "peak_rss_bytes": tracker.samples["sequential"].peak_rss_bytes,
         }
     )
 
     for workers in WORKER_COUNTS:
-        driver = ParallelShardedElectionDriver(
-            spec,
-            num_ballots=NUM_BALLOTS,
-            workers=workers,
-            max_inflight_shards=MAX_INFLIGHT,
+        timing_inflight = max(workers, MAX_INFLIGHT)
+        timing, memory = (
+            ParallelShardedElectionDriver(
+                spec, num_ballots=NUM_BALLOTS, workers=workers, max_inflight_shards=inflight
+            )
+            for inflight in (timing_inflight, MAX_INFLIGHT)
         )
-        gc.collect()
-        with tracker.track(f"workers-{workers}"):
-            outcome = driver.run()
+        outcome, traced = timed_and_traced(
+            tracker, f"workers-{workers}", timing.run, memory.run
+        )
         frames[workers] = codec.encode(outcome.global_record)
-        sample = tracker.samples[f"workers-{workers}"]
+        frames[f"{workers}-traced"] = codec.encode(traced.global_record)
         rows.append(
             {
                 "mode": "parallel",
                 "workers": workers,
                 "num_shards": PARALLEL_SHARDS,
                 "num_ballots": NUM_BALLOTS,
-                "verified": outcome.report.ok,
+                "verified": outcome.report.ok and traced.report.ok,
                 "ballots_per_s": round(outcome.ballots_per_s, 1),
                 "duration_s": round(outcome.duration_s, 3),
-                "peak_inflight": driver.peak_inflight,
-                "peak_traced_bytes": sample.peak_traced_bytes,
-                "peak_rss_bytes": sample.peak_rss_bytes,
+                "timing_inflight": timing_inflight,
+                "timing_peak_inflight": timing.peak_inflight,
+                "peak_inflight": memory.peak_inflight,
+                "peak_traced_bytes": tracker.samples[f"workers-{workers}"].peak_traced_bytes,
             }
         )
     return rows, frames
@@ -209,7 +230,8 @@ def test_parallel_worker_sweep(benchmark, results_sink):
     save("sharded_parallel", rows)
     show(
         f"Parallel shard execution: worker sweep "
-        f"(n={NUM_BALLOTS:,}, {PARALLEL_SHARDS} shards, "
+        f"(n={NUM_BALLOTS:,}, {PARALLEL_SHARDS} shards, timing at "
+        f"max_inflight=max(workers, {MAX_INFLIGHT}), memory at "
         f"max_inflight={MAX_INFLIGHT}{', smoke' if SMOKE else ''})",
         rows,
     )
@@ -220,17 +242,18 @@ def test_parallel_worker_sweep(benchmark, results_sink):
     # Gate 2: worker-count invariance, tested on the canonical wire frame --
     # the strongest equality the system defines (tally, commitments, digests
     # and signatures all live inside the frame).
-    for workers in WORKER_COUNTS:
-        assert frames[workers] == frames["sequential"], (
-            f"global commit record at {workers} workers diverged from the "
+    for run, frame in frames.items():
+        assert frame == frames["sequential"], (
+            f"global commit record of run {run!r} diverged from the "
             f"sequential pipeline"
         )
 
-    # Gate 3: the inflight bound was honored (and actually exercised beyond
-    # one shard at a time once there are >= 2 workers).
+    # Gate 3: the inflight bound was honored in both passes (and actually
+    # exercised beyond one shard at a time once there are >= 2 workers).
     by_workers = {row["workers"]: row for row in rows if row["mode"] == "parallel"}
-    for workers in WORKER_COUNTS:
-        assert by_workers[workers]["peak_inflight"] <= MAX_INFLIGHT
+    for row in by_workers.values():
+        assert row["peak_inflight"] <= MAX_INFLIGHT
+        assert row["timing_peak_inflight"] <= row["timing_inflight"]
     assert by_workers[2]["peak_inflight"] == MAX_INFLIGHT
 
     # Gate 4: streaming merge keeps the parent's traced peak flat -- within

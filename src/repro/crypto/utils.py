@@ -76,9 +76,27 @@ def default_random() -> RandomSource:
     return _DEFAULT_RANDOM
 
 
-def sha256(*parts: bytes) -> bytes:
-    """Hash the concatenation of ``parts`` with SHA-256."""
+def sha256_prefix(*parts: bytes) -> hashlib._Hash:
+    """The SHA-256 state after the length-framed leading ``parts``.
+
+    Pass it as :func:`sha256`'s ``prefix`` to hash many messages that share
+    constant leading parts without re-framing them each time.
+    """
     h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h
+
+
+def sha256(*parts: bytes, prefix: Optional[hashlib._Hash] = None) -> bytes:
+    """Hash the length-framed ``parts`` with SHA-256.
+
+    With ``prefix`` from :func:`sha256_prefix`, hashing continues from a copy
+    of that state (the prefix itself is left untouched), so
+    ``sha256(*tail, prefix=sha256_prefix(*lead)) == sha256(*lead, *tail)``.
+    """
+    h = hashlib.sha256() if prefix is None else prefix.copy()
     for part in parts:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)

@@ -424,7 +424,9 @@ class ShardingCosts:
     pure-python backend (~50k ballots/s sequential -> ~0.02 ms/ballot).
     """
 
-    #: per-ballot slice cost: ~4 SHA-256 for derivation/admission plus the
+    #: per-ballot slice cost: 1 + (5 + num_options) SHA-256 per cast ballot
+    #: (9 at three options: digest, vote code, salt, EA commitment, admission
+    #: check, randomness base and one randomness hash per option) plus the
     #: amortized consensus and streaming-tally additions.
     slice_ms_per_ballot: float = 0.02
     #: per-shard serial cost: PREPARE fold + its share of the batched

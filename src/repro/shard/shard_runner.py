@@ -3,21 +3,33 @@
 A :class:`ShardRunner` executes everything the protocol needs for the ballots
 in one contiguous serial range, holding only O(shard) state:
 
-admission   Every ballot in the range is derived deterministically from the
-            election seed (choice, A/B coin, vote code, turnout), and the
-            responsible collector checks the vote code against its salted
-            hash commitment — the same check the full simulator's
-            ``VoteCollectorNode`` performs, one SHA-256 per ballot.
+setup       One derivation pass over the range hashes each serial's
+            digest (choice, turnout) and, for each cast ballot, its vote code
+            and salt.  The EA's salted code commitments are built from it
+            before any vote is accepted.
+
+admission   The responsible collector re-hashes the *submitted* vote code
+            with the EA's salt and compares it to the precomputed commitment
+            -- the same check the full simulator's ``VoteCollectorNode``
+            performs.
 
 consensus   The shard's own collectors run superblock Vote Set Consensus
             (``consensus/batching.py`` via ``ConsensusCluster``) over the
             admitted-ballot opinion vector, so agreement messages are
             amortized across ``consensus_batch_size`` ballots.
 
-tally       Cast ballots stream through :class:`StreamingTally`: per-ballot
-            randomness is *derived*, never stored, and the shard flushes one
-            combined commitment + opening at the end — O(num_options)
-            exponentiations per shard regardless of shard size.
+tally       Cast ballots stream through :class:`StreamingTally`, reusing the
+            digest for the choice and the code for the vote-set digest:
+            per-ballot randomness is *derived*, never stored, and the shard
+            flushes one combined commitment + opening at the end --
+            O(num_options) exponentiations per shard regardless of shard size.
+
+Every constant leading part of these hashes (tag, seed, election id) is
+framed once per runner as a :func:`~repro.crypto.utils.sha256_prefix` state,
+and each serial is derived once, so a shard costs
+``registered + cast * (5 + num_options)`` SHA-256 calls: one digest per
+serial, then code, salt, EA commitment, admission check and randomness base
+plus one randomness hash per option for each cast ballot.
 
 The result is a codec-framed :class:`ShardCommitRecord` (plus its opening)
 ready for the cross-shard merge.  Because per-ballot choices and randomness
@@ -34,7 +46,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.consensus.cluster import ConsensusCluster
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
-from repro.crypto.utils import int_to_bytes, sha256
+from repro.crypto.utils import int_to_bytes, sha256, sha256_prefix
 from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.shard.partition import ShardRange
 from repro.shard.records import ShardCommitRecord
@@ -184,6 +196,14 @@ class ShardSliceResult:
         )
 
 
+#: what the derivation pass yields for one cast serial: (choice, vote code,
+#: salt).  A plain tuple, not a NamedTuple: the cycle collector untracks
+#: exact tuples of atomic values, while one tracked object per ballot delays
+#: the full collections that free each slice's consensus-cluster cycles
+#: (pool workers then hold ~50% more memory on a 100k-ballot run).
+DerivedBallot = Tuple[int, bytes, bytes]
+
+
 class ShardRunner:
     """Run the election slice for one contiguous ballot-serial range."""
 
@@ -217,86 +237,109 @@ class ShardRunner:
         self.codec = codec or default_codec()
         #: fault-injection hook: serial -> the (wrong) code that voter submits.
         self.tampered_codes = dict(tampered_codes or {})
-        self._seed_bytes = int_to_bytes(seed)
-        self._id_bytes = election_id.encode("utf-8")
+        seed_bytes = int_to_bytes(seed)
+        id_bytes = election_id.encode("utf-8")
+        # Constant leading parts of every per-ballot hash, framed once.
+        self._ballot_prefix = sha256_prefix(b"shard-ballot", seed_bytes, id_bytes)
+        self._code_prefix = sha256_prefix(b"shard-vote-code")
+        self._salt_prefix = sha256_prefix(b"shard-salt", seed_bytes)
+        self._commit_prefix = sha256_prefix(b"shard-code-commit")
+        self._rand_prefix = sha256_prefix(b"shard-rand", seed_bytes, id_bytes)
+        self._coordinates = tuple(int_to_bytes(c) for c in range(scheme.num_options))
         # Turnout threshold on one derived byte: cast iff digest byte < cut.
         self._turnout_cut = int(round(turnout * 256))
 
     # -- deterministic per-ballot derivation -----------------------------------
 
     def _ballot_digest(self, serial: int) -> bytes:
-        return sha256(
-            b"shard-ballot", self._seed_bytes, self._id_bytes, int_to_bytes(serial)
-        )
+        return sha256(int_to_bytes(serial), prefix=self._ballot_prefix)
 
     def choice_of(self, serial: int) -> int:
-        digest = self._ballot_digest(serial)
+        return self._choice(self._ballot_digest(serial))
+
+    def _choice(self, digest: bytes) -> int:
         return int.from_bytes(digest[:8], "big") % self.scheme.num_options
 
     def is_cast(self, digest: bytes) -> bool:
         return digest[9] < self._turnout_cut
 
-    def _vote_code(self, digest: bytes) -> bytes:
-        return sha256(b"shard-vote-code", digest)[:16]
-
-    def _code_commitment(self, serial: int, code: bytes) -> bytes:
-        salt = sha256(b"shard-salt", self._seed_bytes, int_to_bytes(serial))
-        return sha256(b"shard-code-commit", salt, code)
-
     def _randomness(self, serial: int) -> Tuple[int, ...]:
         order = self.scheme.group.order
-        base = sha256(b"shard-rand", self._seed_bytes, self._id_bytes, int_to_bytes(serial))
+        base = sha256(int_to_bytes(serial), prefix=self._rand_prefix)
         return tuple(
-            int.from_bytes(sha256(base, int_to_bytes(coordinate)), "big") % order
-            for coordinate in range(self.scheme.num_options)
+            int.from_bytes(sha256(base, coordinate), "big") % order
+            for coordinate in self._coordinates
         )
 
-    def _submitted_code(self, serial: int, digest: bytes) -> bytes:
-        """What the voter hands in: the true code, unless tampered with."""
-        return self.tampered_codes.get(serial, self._vote_code(digest))
-
-    def ea_commitment_table(self) -> List[Optional[bytes]]:
-        """EA setup: the salted code commitment of every castable serial.
+    def derive_ballots(self) -> List[Optional[DerivedBallot]]:
+        """The single derivation pass that setup, admission and tally share.
 
         Indexed by ``serial - lo``; ``None`` marks serials whose derived
-        voter abstains.  This table is what admission checks submitted codes
-        *against* -- it must exist before any vote is accepted, exactly like
-        the EA's published election data in the full simulator.  O(shard)
-        32-byte entries.
+        voter abstains.
         """
-        table: List[Optional[bytes]] = []
+        derived: List[Optional[DerivedBallot]] = []
         for serial in range(self.shard.lo, self.shard.hi):
-            digest = self._ballot_digest(serial)
+            serial_bytes = int_to_bytes(serial)
+            digest = sha256(serial_bytes, prefix=self._ballot_prefix)
             if self.is_cast(digest):
-                table.append(self._code_commitment(serial, self._vote_code(digest)))
+                derived.append((
+                    self._choice(digest),
+                    sha256(digest, prefix=self._code_prefix)[:16],
+                    sha256(serial_bytes, prefix=self._salt_prefix),
+                ))
             else:
-                table.append(None)
-        return table
+                derived.append(None)
+        return derived
+
+    def ea_commitment_table(
+        self, derived: Optional[Sequence[Optional[DerivedBallot]]] = None
+    ) -> List[Optional[bytes]]:
+        """EA setup: the salted commitment of every castable serial's code.
+
+        Indexed by ``serial - lo``; ``None`` marks serials whose derived
+        voter abstains.  ``derived`` is :meth:`derive_ballots` output (derived
+        here when omitted).  This table is what admission checks submitted
+        codes *against* -- it must exist before any vote is accepted, exactly
+        like the EA's published election data in the full simulator.
+        O(shard) 32-byte entries.
+        """
+        if derived is None:
+            derived = self.derive_ballots()
+        commit = self._commit_prefix
+        return [
+            None if ballot is None else sha256(ballot[2], ballot[1], prefix=commit)
+            for ballot in derived
+        ]
 
     # -- the slice -------------------------------------------------------------
 
     def run(self) -> ShardSliceResult:
         started = time.perf_counter()
+        lo = self.shard.lo
 
-        # Phase 0: EA setup.  The salted commitment table for the whole range
-        # is fixed before admission starts, so the admission check below
-        # compares the *submitted* code against an independent, precomputed
-        # commitment (not against a value re-derived from the same code).
-        committed = self.ea_commitment_table()
+        # Phase 0: EA setup.  One derivation pass, then the salted commitment
+        # table for the whole range, fixed before admission starts: the check
+        # below compares the *submitted* code against an independent,
+        # precomputed commitment (not against a value re-derived from the
+        # same code).
+        derived = self.derive_ballots()
+        committed = self.ea_commitment_table(derived)
 
-        # Phase 1: admission.  The responsible collector re-derives the salted
-        # commitment of the submitted code and checks it against the EA table;
-        # every collector records its opinion bit for Vote Set Consensus.
+        # Phase 1: admission.  The responsible collector hashes the submitted
+        # code with the EA's salt and checks it against the EA table; every
+        # collector records its opinion bit for Vote Set Consensus.
+        commit = self._commit_prefix
         opinions = {}
-        for serial in range(self.shard.lo, self.shard.hi):
-            digest = self._ballot_digest(serial)
-            if self.is_cast(digest):
-                code = self._submitted_code(serial, digest)
-                if self._code_commitment(serial, code) != committed[serial - self.shard.lo]:
-                    raise VoteCodeRejected(self.shard.shard_id, serial)
-                opinions[serial] = 1
-            else:
+        for offset, ballot in enumerate(derived):
+            serial = lo + offset
+            if ballot is None:
                 opinions[serial] = 0
+                continue
+            _choice, code, salt = ballot
+            submitted = self.tampered_codes.get(serial, code)
+            if sha256(salt, submitted, prefix=commit) != committed[offset]:
+                raise VoteCodeRejected(self.shard.shard_id, serial)
+            opinions[serial] = 1
         del committed
 
         # Phase 2: superblock Vote Set Consensus among the shard's collectors.
@@ -311,17 +354,15 @@ class ShardRunner:
         decided = outcome.decided_serials()
         del opinions, cluster
 
-        # Phase 3: streaming tally + vote-set digest over the decided set.
+        # Phase 3: streaming tally + vote-set digest over the decided set,
+        # from the setup pass's choices and codes.
         tally = StreamingTally(self.scheme)
         vote_set_hash = hashlib.sha256(b"shard-vote-set")
         for serial in decided:
-            digest = self._ballot_digest(serial)
-            tally.add_vote(
-                int.from_bytes(digest[:8], "big") % self.scheme.num_options,
-                self._randomness(serial),
-            )
+            choice, code, _salt = derived[serial - lo]
+            tally.add_vote(choice, self._randomness(serial))
             vote_set_hash.update(int_to_bytes(serial))
-            vote_set_hash.update(self._vote_code(digest))
+            vote_set_hash.update(code)
 
         record = ShardCommitRecord(
             shard_id=self.shard.shard_id,

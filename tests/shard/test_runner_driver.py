@@ -1,10 +1,15 @@
 """Shard runner and sharded driver: determinism and shard-count invariance."""
 
+import hashlib
+from unittest import mock
+
 import pytest
 
+import repro.shard.shard_runner
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.utils import int_to_bytes
+from repro.net.codec import MessageCodec
 from repro.shard.driver import ShardedElectionDriver
 from repro.shard.partition import ShardRange
 from repro.shard.shard_runner import ShardRunner
@@ -73,6 +78,17 @@ class TestShardRunner:
         assert result.superblocks_fast > 0
         assert result.superblocks_fallback == 0
 
+    def test_each_serial_is_derived_once(self, scheme):
+        """One digest per serial; code, salt, EA commitment, admission check,
+        randomness base and one randomness hash per option per cast ballot."""
+        shard = ShardRange(0, 0, 120)
+        real = repro.shard.shard_runner.sha256
+        with mock.patch("repro.shard.shard_runner.sha256", wraps=real) as counted:
+            result = run_shard(scheme, shard, turnout=0.5)
+        cast = result.record.ballots_cast
+        assert 0 < cast < shard.span
+        assert counted.call_count == shard.span + cast * (5 + scheme.num_options)
+
 
 class TestShardedElectionDriver:
     @pytest.fixture(scope="class")
@@ -112,6 +128,39 @@ class TestShardedElectionDriver:
         )
         driver.run()
         assert [r.shard_id for r in seen] == [0, 1, 2, 3]
+
+
+class TestPinnedCommitFrames:
+    """The global commit frame, byte for byte, as the scale path first produced it.
+
+    A change to how ballots are derived, admitted or tallied that alters any
+    output bit fails here, at every worker count.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, shards, workers, ballots, turnout, digest",
+        [
+            (7, 3, 1, 5000, 1.0,
+             "468f5ee47c5f0df82dbe4cb1fb9ff4bfb3bb103f7d471c9a91e7beaba12697ee"),
+            (7, 3, 2, 5000, 1.0,
+             "468f5ee47c5f0df82dbe4cb1fb9ff4bfb3bb103f7d471c9a91e7beaba12697ee"),
+            (21, 4, 1, 3001, 0.6,
+             "ec83e36c3afa7eac9a6069b2a5ec0bb7893ad50e6966a8823894e88ee8005775"),
+        ],
+    )
+    def test_global_commit_frame_is_pinned(self, seed, shards, workers, ballots, turnout,
+                                           digest):
+        spec = ScenarioSpec(
+            options=("yes", "no", "maybe"),
+            election_id=f"pin-{seed}",
+            seed=seed,
+            sharding=ShardingProfile(
+                num_shards=shards, workers=workers, scale_turnout=turnout
+            ),
+        )
+        outcome = MultiElectionService().run_sharded(spec, num_ballots=ballots).outcome
+        frame = MessageCodec().encode(outcome.global_record)
+        assert hashlib.sha256(frame).hexdigest() == digest
 
 
 class TestServiceRunSharded:
